@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benches for the design choices called
-// out in DESIGN.md. Each benchmark regenerates the paper artifact from
+// evaluation section, plus ablation benches for the reproduction's own
+// design choices (back-off, listeners, the β floor). Each benchmark regenerates the paper artifact from
 // scratch every iteration and reports the headline quantities (makespan,
 // reductions) as custom metrics, so `go test -bench=. -benchmem` both
 // times the simulator and reprints the paper-shaped numbers.
@@ -168,7 +168,7 @@ func BenchmarkFig17(b *testing.B) {
 	b.ReportMetric((na.Makespan-fc.Makespan)/na.Makespan*100, "makespan_gain_%")
 }
 
-// --- Ablation benches (design choices from DESIGN.md) ---
+// --- Ablation benches (design choices the paper leaves open) ---
 
 // tenJobSpec builds the Figure 12 workload under an arbitrary policy.
 func tenJobSpec(newPolicy func(flowcon.Tracer) sched.Policy) experiment.Spec {
@@ -207,7 +207,9 @@ func BenchmarkAblationNoListeners(b *testing.B) {
 }
 
 // BenchmarkAblationBeta sweeps the Completing-list floor factor β
-// (floor = 1/(β·n)); the paper leaves β unspecified, DESIGN.md fixes 2.
+// (floor = 1/(β·n)). The paper leaves β unspecified; flowcon.Config
+// defaults it to 2 because that reproduces the 0.25 limit Figure 7 shows
+// for VAE with two containers present.
 func BenchmarkAblationBeta(b *testing.B) {
 	betas := []float64{1, 2, 4, 8}
 	makespans := make([]float64, len(betas))

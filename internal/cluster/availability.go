@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -130,11 +132,13 @@ func (a *Availability) jobAbandoned(job string) {
 	delete(a.lostAt, job)
 }
 
-// Finalize closes every open downtime interval at the run's end time.
+// Finalize closes every open downtime interval at the run's end time,
+// in worker-name order so the float sum does not depend on map order.
 // Call once when the run stops; the report accessors below assume it ran.
 func (a *Availability) Finalize(end float64) {
 	a.end = end
-	for name, iv := range a.downSince {
+	for _, name := range slices.Sorted(maps.Keys(a.downSince)) {
+		iv := a.downSince[name]
 		a.WorkerDownSec += iv.capacity * (end - iv.since)
 		delete(a.downSince, name)
 	}

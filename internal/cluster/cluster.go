@@ -359,6 +359,9 @@ type pendingJob struct {
 	// resumeWork is the checkpointed CPU work a rescheduled job restarts
 	// with (0 = from scratch).
 	resumeWork float64
+	// workAtLoss is the delivered work a failed worker's container held
+	// when it died (handleFailure only).
+	workAtLoss float64
 }
 
 // Manager accepts user submissions and reconciles them onto workers,
@@ -634,19 +637,19 @@ func (m *Manager) handleFailure(failed *Worker) {
 		if err != nil || c.Done {
 			continue
 		}
-		job := pendingJob{name: name, profile: m.profiles[name]}
 		// Work is 0 when the workload does not expose it — a from-scratch
 		// restart.
-		workAtLoss := c.Work
-		job.resumeWork = m.resumeWorkFor(name, workAtLoss)
+		job := pendingJob{name: name, profile: m.profiles[name], workAtLoss: c.Work}
+		job.resumeWork = m.resumeWorkFor(name, job.workAtLoss)
 		lost = append(lost, job)
 		m.placed[name] = nil
 		m.requeued++
-		m.avail.jobLost(name, now, workAtLoss, job.resumeWork)
 	}
-	// Deterministic retry order.
+	// Deterministic retry order. Losses are recorded in the same order so
+	// the wasted-work float sum does not depend on map iteration.
 	sortPending(lost)
 	for _, job := range lost {
+		m.avail.jobLost(job.name, now, job.workAtLoss, job.resumeWork)
 		m.trace(telemetry.PhaseFail, job.name, failed.Name(), "worker failed; rescheduling")
 	}
 	m.rescheduleLost(lost)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -321,5 +322,32 @@ func TestAvailabilityMTTR(t *testing.T) {
 	a.jobPlaced("fresh", 30)
 	if a.MTTRCount() != 2 {
 		t.Fatal("placement without loss fed the MTTR sketch")
+	}
+}
+
+// Finalize sums the still-open downtime intervals in worker-name order:
+// with capacity-weighted spans 0.1, 0.2 and 0.3, (0.1+0.2)+0.3 and
+// (0.2+0.3)+0.1 differ in the last bit, so a map-order sum would not
+// repeat.
+func TestAvailabilityFinalizeOrderIndependent(t *testing.T) {
+	e := sim.NewEngine()
+	var want uint64
+	for run := 0; run < 20; run++ {
+		var workers []*Worker
+		for i := 0; i < 3; i++ {
+			w, _ := NewSimWorker(fmt.Sprintf("w%d", i), e, []float64{0.1, 0.2, 0.3}[i])
+			workers = append(workers, w)
+		}
+		a := newAvailability(workers)
+		for _, w := range workers {
+			a.workerDown(w, 0)
+		}
+		a.Finalize(1)
+		got := math.Float64bits(a.WorkerDownSec)
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: WorkerDownSec bits %#x, first run %#x", run, got, want)
+		}
 	}
 }

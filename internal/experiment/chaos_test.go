@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -232,6 +233,32 @@ func TestDestinationCrashBeforeThawRecovers(t *testing.T) {
 	for _, j := range res.Jobs {
 		if j.Restarts == 0 {
 			t.Fatalf("job %s shows no restart after losing its worker", j.Name)
+		}
+	}
+}
+
+// Wasted work is a float sum over every container a crash lost. It must be
+// added in a fixed order (job name), not in map order, or its last bits
+// differ between runs of one seed.
+func TestChaosWastedWorkBitIdentical(t *testing.T) {
+	day := chaosScenario(t, "chaos-day")
+	for _, seed := range []int64{1, 2} {
+		var want uint64
+		for run := 0; run < 6; run++ {
+			res, err := RunE(day.Spec(seed))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if res.Availability == nil || res.Availability.WastedWorkSec <= 0 {
+				t.Fatalf("seed %d: chaos-day recorded no wasted work", seed)
+			}
+			got := math.Float64bits(res.Availability.WastedWorkSec)
+			if run == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("seed %d run %d: WastedWorkSec bits %#x, first run %#x",
+					seed, run, got, want)
+			}
 		}
 	}
 }

@@ -13,11 +13,12 @@ import (
 // PostExitSamples is the documented post-exit sampler horizon: an exited
 // container contributes at most this many further CPU samples — the
 // partial window covering the exit instant and the first all-zero window
-// — before the sampler seals it, drops it from iteration and frees its
-// differencing state. Every later sample would be identically zero, so
-// the cap loses no information while keeping both collection tiers from
-// accumulating an O(makespan) zero tail per finished job (the PR 5
-// "sharded sampler tail" finding).
+// — before the sampler seals it. A sealed container leaves its worker's
+// watched set together with its differencing state, so it costs later
+// ticks nothing: sampler state is O(running + unsealed) per worker, not
+// O(containers ever hosted). Every later sample would be identically
+// zero, so the cap loses no information while keeping both collection
+// tiers from accumulating an O(makespan) zero tail per finished job.
 const PostExitSamples = 2
 
 // JobRecord is the lifecycle summary of one job.
@@ -245,75 +246,108 @@ func (c *Collector) observeEval(name string, t, v float64) {
 // AttachWorker subscribes the collector to a worker daemon's lifecycle and
 // starts the periodic CPU sampler against it. The sampler schedules on the
 // daemon's own scheduler, so in a sharded simulation it rides the worker's
-// lane and samples in parallel with the other shards. All sampler
-// bookkeeping (usage differencing, post-exit tail counts) lives in this
-// closure, so per-worker samplers on different lanes never share state.
+// lane and samples in parallel with the other shards. Each worker gets
+// its own workerSampler, so samplers on different lanes never share
+// state; its watched set holds only running and unsealed containers, so
+// a tick costs O(running + unsealed) however many containers the worker
+// has hosted.
 func (c *Collector) AttachWorker(name string, daemon *simdocker.Daemon) {
-	daemon.OnExit(c.JobExited)
-
+	s := c.newWorkerSampler(daemon)
 	sched := daemon.Scheduler()
-	lastCPUSeconds := make(map[string]float64)
-	// tails counts samples taken after a container was observed exited.
-	// At PostExitSamples the container is sealed: skipped by future
-	// sampler passes and its differencing state freed. See the constant's
-	// doc for why the cap is lossless.
-	tails := make(map[string]int)
-	lastSampleAt := float64(sched.Now())
 	var sample func()
 	sample = func() {
-		now := float64(sched.Now())
-		daemon.Sync()
-		dt := now - lastSampleAt
-		daemon.EachContainer(func(cont *simdocker.Container) {
-			id := cont.ID()
-			if tails[id] >= PostExitSamples {
-				return
-			}
-			exited := cont.State() == simdocker.Exited
-			r, ok := c.byCID[id]
-			if !ok {
-				// Untracked and gone (e.g. replaced after a rebind):
-				// seal immediately so the dead ID costs nothing.
-				if exited {
-					tails[id] = PostExitSamples
-					delete(lastCPUSeconds, id)
-				}
-				return
-			}
-			if r.Finished && exited {
-				// Exited containers have frozen counters and a closed
-				// record: read them without the settled-stats round trip.
-				// The appended values are identical to the slow path's.
-				if dt > 0 {
-					usage := (cont.CPUSeconds() - lastCPUSeconds[id]) / dt
-					c.observeCPU(r.Name, now, usage)
-				}
-				lastCPUSeconds[id] = cont.CPUSeconds()
-			} else {
-				s, err := daemon.Stats(id)
-				if err != nil {
-					return
-				}
-				if dt > 0 {
-					usage := (s.CPUSeconds - lastCPUSeconds[id]) / dt
-					c.observeCPU(r.Name, now, usage)
-				}
-				lastCPUSeconds[id] = s.CPUSeconds
-				if !r.Finished {
-					c.observeEval(r.Name, now, s.Eval)
-				}
-			}
-			if exited {
-				tails[id]++
-				if tails[id] >= PostExitSamples {
-					delete(lastCPUSeconds, id)
-				}
-			}
-		})
-		lastSampleAt = now
+		s.tick(float64(sched.Now()))
 		sched.After(c.period, sim.PriorityMetric, "metrics.sample", sample)
 	}
 	sched.After(c.period, sim.PriorityMetric, "metrics.sample", sample)
+}
+
+// watchedContainer is one container a worker's sampler still observes,
+// with its usage-differencing state.
+type watchedContainer struct {
+	cont *simdocker.Container
+	// lastCPUSeconds is the cumulative CPU time at the previous sample.
+	lastCPUSeconds float64
+	// tails counts samples taken after the container was seen exited;
+	// at PostExitSamples the container is sealed and leaves the set.
+	tails int
+}
+
+// workerSampler is one worker daemon's periodic CPU sampler. Its watched
+// set lists, in creation order, every container that may still produce a
+// sample: containers enter on start and leave once sealed, once exited
+// and no longer tracked by any job record, or once removed from the
+// daemon's pool (Checkpoint, Repair, kill).
+type workerSampler struct {
+	c            *Collector
+	daemon       *simdocker.Daemon
+	watched      []watchedContainer
+	lastSampleAt float64
+}
+
+// newWorkerSampler subscribes the collector to daemon's exits and starts
+// watching the containers already in its pool and every one it starts
+// later — OnStart covers Run, Restore and migration thaws alike.
+func (c *Collector) newWorkerSampler(daemon *simdocker.Daemon) *workerSampler {
+	daemon.OnExit(c.JobExited)
+	s := &workerSampler{c: c, daemon: daemon, lastSampleAt: float64(daemon.Scheduler().Now())}
+	for _, cont := range daemon.PS(true) {
+		s.watch(cont)
+	}
+	daemon.OnStart(s.watch)
+	return s
+}
+
+// watch adds a started container to the watched set.
+func (s *workerSampler) watch(cont *simdocker.Container) {
+	s.watched = append(s.watched, watchedContainer{cont: cont})
+}
+
+// tick samples every watched container at time now, then compacts the
+// set in place, keeping creation order. Allocation-free at steady state.
+func (s *workerSampler) tick(now float64) {
+	s.daemon.Sync()
+	dt := now - s.lastSampleAt
+	kept := s.watched[:0]
+	for i := range s.watched {
+		if s.sample(&s.watched[i], now, dt) {
+			kept = append(kept, s.watched[i])
+		}
+	}
+	clear(s.watched[len(kept):])
+	s.watched = kept
+	s.lastSampleAt = now
+}
+
+// sample records one container's CPU usage over the last dt seconds (and
+// its evaluation function while its job is open) and reports whether the
+// container stays watched. The daemon is settled, so the container's
+// counters are current; an exited container's are final.
+func (s *workerSampler) sample(w *watchedContainer, now, dt float64) bool {
+	cont := w.cont
+	if got, err := s.daemon.Get(cont.ID()); err != nil || got != cont {
+		return false
+	}
+	exited := cont.State() == simdocker.Exited
+	r, ok := s.c.byCID[cont.ID()]
+	if !ok {
+		// Untracked: not yet bound to a job, or replaced after a rebind.
+		// Once exited it can never be sampled again.
+		return !exited
+	}
+	cpu := cont.CPUSeconds()
+	if dt > 0 {
+		s.c.observeCPU(r.Name, now, (cpu-w.lastCPUSeconds)/dt)
+	}
+	w.lastCPUSeconds = cpu
+	if !r.Finished {
+		s.c.observeEval(r.Name, now, cont.Workload().Eval())
+	}
+	if exited {
+		w.tails++
+		return w.tails < PostExitSamples
+	}
+	return true
 }
 
 // RecordRun implements flowcon.Tracer: it stores growth efficiency, limit

@@ -426,15 +426,6 @@ func (d *Daemon) AppendRunningStats(buf []Stats) []Stats {
 	return buf
 }
 
-// EachContainer calls fn for every container — running and exited — in
-// creation order, without the defensive copy PS makes. fn must not mutate
-// the pool.
-func (d *Daemon) EachContainer(fn func(*Container)) {
-	for _, id := range d.order {
-		fn(d.containers[id])
-	}
-}
-
 // Sync settles all container accounting up to the engine's current time.
 // Monitors call it before reading cumulative counters.
 func (d *Daemon) Sync() { d.settle() }
